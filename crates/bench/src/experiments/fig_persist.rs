@@ -106,6 +106,7 @@ fn measure_recovery(batches: &[EdgeBatch], records: usize) -> RecoverySample {
     let (g, report) = recover_tinker(&dir, TinkerConfig::default()).expect("recover");
     let dur = t0.elapsed();
     assert_eq!(report.replayed_records, records as u64);
+    assert_eq!(report.replayed_ops, ops);
     assert!(g.num_edges() > 0 || ops == 0);
     let _ = std::fs::remove_dir_all(&dir);
     RecoverySample {

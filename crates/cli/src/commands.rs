@@ -1,7 +1,7 @@
 //! Implementation of the `gtinker` subcommands.
 
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gtinker_core::{GraphTinker, ParallelTinker};
 use gtinker_datasets::{dataset_by_name, io, RmatConfig};
@@ -12,7 +12,7 @@ use gtinker_engine::{
 };
 use gtinker_persist::{
     list_snapshots, recover_stinger, recover_tinker, write_stinger_snapshot, write_tinker_snapshot,
-    DurableTinker, SyncPolicy, WalOptions, WalWriter,
+    DurableTinker, RecoveryReport, SyncPolicy, WalOptions, WalWriter,
 };
 use gtinker_stinger::Stinger;
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, StingerConfig, TinkerConfig, UpdateOp};
@@ -1078,26 +1078,38 @@ fn snapshot(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
+/// The replay line of `gtinker recover`: ops replayed and the rate over
+/// the whole recovery (snapshot load, log scan and replay).
+fn print_replay_rate(report: &RecoveryReport, elapsed: Duration) {
+    println!(
+        "replayed {} ops at {:.2} Mop/s",
+        report.replayed_ops,
+        report.replayed_ops as f64 / elapsed.as_secs_f64().max(1e-9) / 1e6
+    );
+}
+
 fn recover(parsed: &Parsed) -> Result<(), String> {
     let dir = Path::new(parsed.input()?);
     let t0 = Instant::now();
     if parsed.flag("baseline") {
         let (s, report) =
             recover_stinger(dir, StingerConfig::default()).map_err(|e| e.to_string())?;
+        let elapsed = t0.elapsed();
         println!(
-            "recovered STINGER: {} edges, snapshot lsn {}, {} records replayed{} in {:.2?}",
+            "recovered STINGER: {} edges, snapshot lsn {}, {} records replayed{} in {elapsed:.2?}",
             s.num_edges(),
             report.snapshot_lsn,
             report.replayed_records,
             if report.wal_truncated { " (torn tail truncated)" } else { "" },
-            t0.elapsed()
         );
+        print_replay_rate(&report, elapsed);
         return Ok(());
     }
     let (g, report) = recover_tinker(dir, config(parsed)?).map_err(|e| e.to_string())?;
+    let elapsed = t0.elapsed();
     println!(
         "recovered GraphTinker: {} edges, {} sources, snapshot lsn {}{}, \
-         {} records replayed{}{} in {:.2?}",
+         {} records replayed{}{} in {elapsed:.2?}",
         g.num_edges(),
         g.sources().len(),
         report.snapshot_lsn,
@@ -1109,8 +1121,8 @@ fn recover(parsed: &Parsed) -> Result<(), String> {
         } else {
             String::new()
         },
-        t0.elapsed()
     );
+    print_replay_rate(&report, elapsed);
     if parsed.flag("validate") {
         g.validate_rhh_invariants().map_err(|e| format!("RHH invariant violated: {e}"))?;
         g.validate_tag_invariants().map_err(|e| format!("tag invariant violated: {e}"))?;

@@ -153,7 +153,7 @@ impl DurableTinker {
         wal_opts: WalOptions,
     ) -> Result<(Self, RecoveryReport)> {
         let (mut wal, scan) = WalWriter::open(dir, wal_opts)?;
-        let (store, report) = recover_tinker_with_scan(dir, &scan, default_config)?;
+        let (store, report) = recover_tinker_with_scan(dir, scan, default_config)?;
         // A snapshot newer than the surviving log (its records were lost
         // to a tear after being folded in): restart the log at the
         // snapshot so new records are not shadowed by it.

@@ -1,5 +1,5 @@
 //! Low-level binary encoding shared by snapshots and the WAL: little-endian
-//! fixed-width integers, a table-driven CRC-32, and bounds-checked readers.
+//! fixed-width integers, a slicing-by-8 CRC-32, and bounds-checked readers.
 //!
 //! Everything durable in this crate is framed as `(length, checksum,
 //! payload)` so a reader can always tell a torn or bit-flipped region from
@@ -54,10 +54,12 @@ impl From<gtinker_types::GraphError> for PersistError {
 /// Result alias for the persistence layer.
 pub type Result<T> = std::result::Result<T, PersistError>;
 
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) lookup table, generated at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) slicing-by-8
+/// tables. `T[0]` is the classic byte-at-a-time table; `T[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight table lookups fold
+/// eight input bytes into the register at once.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -66,17 +68,43 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
-};
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
 
-/// CRC-32 (IEEE) of a byte slice.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// CRC-32 (IEEE) of a byte slice, eight bytes per step (slicing-by-8).
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -209,6 +237,44 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// The byte-at-a-time reference the slicing-by-8 path must reproduce.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (SplitMix64 stream).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                gtinker_core::hash::mix64(x) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_at_every_length_and_offset() {
+        let buf = noise(64 + 8, 7);
+        for off in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {off}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_on_a_large_buffer() {
+        let buf = noise(3 << 20, 11);
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+        assert_eq!(crc32(&buf[3..buf.len() - 5]), crc32_bytewise(&buf[3..buf.len() - 5]));
     }
 
     #[test]

@@ -15,6 +15,9 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench tests (tiny workloads: recover_tinker vs the replay model)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> incremental oracle suite (repair == cold fixpoint after every batch)"
 cargo test -q -p gtinker-integration --test incremental_oracle
 
@@ -35,6 +38,7 @@ trap 'rm -rf "$SMOKE"' EXIT
 "$GT" ingest "$SMOKE/g.txt" --wal "$SMOKE/db" --batch 1024 --snapshot-every 4
 "$GT" recover "$SMOKE/db" --root 0 --validate | tee "$SMOKE/recover.out"
 grep -q "replayed" "$SMOKE/recover.out"
+grep -Eq "^replayed [0-9]+ ops at [0-9]+\.[0-9]+ Mop/s$" "$SMOKE/recover.out"
 grep -q "validated: RHH probe distances and SWAR tag lanes" "$SMOKE/recover.out"
 
 echo "==> pipeline smoke test (pooled+pipelined ingest -> recover, edge counts agree)"

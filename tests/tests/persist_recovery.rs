@@ -10,6 +10,10 @@
 //! there and every later segment is deleted (a real crash never creates
 //! files it hadn't reached). Bit flips model silent media corruption; the
 //! prefix rule must discard the flipped record *and* everything after it.
+//!
+//! Recovery replays the log tail grouped by source rather than in arrival
+//! order; the equivalence suite at the end checks that grouping against
+//! in-order `apply_batch` of the same log, structure and all.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -21,8 +25,8 @@ use gtinker_engine::{
     Engine, ModePolicy,
 };
 use gtinker_persist::{
-    corrupt_file, list_segments, recover_tinker, replay, DurableTinker, Fault, SyncPolicy,
-    WalOptions,
+    corrupt_file, list_segments, load_tinker_snapshot, recover_tinker, replay, DurableTinker,
+    Fault, SyncPolicy, WalOptions,
 };
 use gtinker_types::{DeleteMode, Edge, EdgeBatch, TinkerConfig};
 use proptest::prelude::*;
@@ -358,4 +362,125 @@ fn pruned_log_with_snapshot_recovers() {
     assert!(!list_segments(&dir).unwrap().is_empty());
     assert_recovers_to(&dir, cfg, &batches, n, "pruned log");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Sources the churn logs only ever delete from.
+const DELETE_ONLY: [u32; 2] = [12, 13];
+
+/// A churn log for the equivalence suite: skewed inserts over sources
+/// 0..12 with a small destination range (so re-inserts update weights and
+/// hubs form), deletes mixed in — mostly in the second half, so hubs
+/// demote again — [`DELETE_ONLY`] sources that are never inserted, and a
+/// leading delete on a source whose first insert comes later.
+fn churn_log() -> impl Strategy<Value = Vec<(bool, u32, u32, u32)>> {
+    let raw = prop::collection::vec((0..10u32, 0..144u32, 0..20u32, 1..50u32), 60..400);
+    (raw, 0..12u32).prop_map(|(raw, late)| {
+        let mut ops = vec![(false, late, 0, 0)];
+        let half = raw.len() / 2;
+        for (i, (kind, pair, dst, w)) in raw.into_iter().enumerate() {
+            // The smaller of two uniform draws: low ids get most ops.
+            let src = (pair % 12).min(pair / 12);
+            let inserts = if i < half { 7 } else { 3 };
+            if kind == 9 {
+                ops.push((false, DELETE_ONLY[(dst % 2) as usize], dst, 0));
+            } else if kind < inserts {
+                ops.push((true, src, dst, w));
+            } else {
+                ops.push((false, src, dst, 0));
+            }
+        }
+        ops.push((true, late, 1, 1));
+        ops
+    })
+}
+
+/// Every source's out-edges, in `for_each_out_edge` order.
+fn out_edges(g: &GraphTinker) -> Vec<(u32, Vec<(u32, u32)>)> {
+    g.sources()
+        .into_iter()
+        .map(|s| {
+            let mut v = Vec::new();
+            g.for_each_out_edge(s, |d, w| v.push((d, w)));
+            (s, v)
+        })
+        .collect()
+}
+
+/// Grouped recovery must leave what in-order replay leaves: the same SGH
+/// order, per-vertex edge sequences, vertex space, tier census, CAL
+/// invalid count and live (main + overflow) edgeblocks. Arena-wide fields
+/// may differ either way: free blocks, tombstones, and `memory_bytes`,
+/// which counts free blocks and spare vector capacity.
+fn assert_grouped_matches_in_order(grouped: &GraphTinker, in_order: &GraphTinker, ctx: &str) {
+    assert_eq!(grouped.sources(), in_order.sources(), "{ctx}: SGH order");
+    assert_eq!(out_edges(grouped), out_edges(in_order), "{ctx}: per-source edges");
+    assert_eq!(grouped.vertex_space(), in_order.vertex_space(), "{ctx}: vertex space");
+    assert_eq!(grouped.num_edges(), in_order.num_edges(), "{ctx}: live edges");
+    let (a, b) = (grouped.structure_stats(), in_order.structure_stats());
+    assert_eq!(
+        (a.tier_inline_vertices, a.tier_blocks_vertices, a.tier_hub_vertices),
+        (b.tier_inline_vertices, b.tier_blocks_vertices, b.tier_hub_vertices),
+        "{ctx}: tier vertex counts"
+    );
+    assert_eq!(
+        (a.tier_promotions, a.tier_demotions),
+        (b.tier_promotions, b.tier_demotions),
+        "{ctx}: tier transitions"
+    );
+    assert_eq!(a.cal_invalid, b.cal_invalid, "{ctx}: CAL invalid records");
+    assert_eq!(
+        (a.main_blocks, a.overflow_blocks),
+        (b.main_blocks, b.overflow_blocks),
+        "{ctx}: live edgeblocks"
+    );
+    grouped.validate_rhh_invariants().unwrap_or_else(|e| panic!("{ctx}: RHH: {e}"));
+    grouped.validate_tag_invariants().unwrap_or_else(|e| panic!("{ctx}: tags: {e}"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Source-grouped recovery equals in-order `apply_batch` of the same
+    /// log over the same snapshot, in both delete modes, with adaptive
+    /// tiers on and off, with and without a mid-log snapshot.
+    #[test]
+    fn grouped_recovery_matches_in_order_replay(
+        ops in churn_log(),
+        batch_size in 4..32usize,
+        snap_permille in 0..1500u64,
+        compact in any::<bool>(),
+        adaptive in any::<bool>(),
+    ) {
+        let mode = if compact { DeleteMode::DeleteAndCompact } else { DeleteMode::DeleteOnly };
+        let mut cfg =
+            TinkerConfig { pagewidth: 16, subblock: 8, workblock: 4, ..TinkerConfig::default() }
+                .delete_mode(mode);
+        if adaptive {
+            cfg = cfg.tiers(2, 12, 6);
+        }
+        let batches = ops_to_batches(&ops, batch_size);
+        let n = batches.len() as u64;
+        // A third of the cases take no snapshot.
+        let snap_after = (snap_permille < 1000).then(|| (snap_permille * n / 1000).min(n - 1));
+        let (dir, snap_lsn) = build_dir("grouped", cfg, &batches, snap_after);
+
+        let (grouped, report) = recover_tinker(&dir, cfg).unwrap();
+        prop_assert_eq!(report.snapshot_lsn, snap_lsn);
+        prop_assert_eq!(report.snapshot_lsn + report.replayed_records, n);
+        let tail = &batches[snap_lsn as usize..];
+        prop_assert_eq!(report.replayed_ops, tail.iter().map(|b| b.len() as u64).sum::<u64>());
+        let mut in_order = match &report.snapshot_path {
+            Some(path) => load_tinker_snapshot(path).unwrap().0,
+            None => GraphTinker::new(cfg).unwrap(),
+        };
+        for b in tail {
+            in_order.apply_batch(b);
+        }
+        assert_grouped_matches_in_order(
+            &grouped,
+            &in_order,
+            &format!("compact={compact} adaptive={adaptive} snapshot lsn {snap_lsn}"),
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
 }
